@@ -20,7 +20,7 @@
 //!   --layout rows|csr|compressed      index storage layout (default csr)
 //!   --out PATH                        JSON output path (trace, bench-json, profile)
 //!   --baseline PATH                   baseline bench JSON (regress)
-//!   --candidate PATH                  candidate bench JSON (regress; default BENCH_PR10.json)
+//!   --candidate PATH                  candidate bench JSON (regress; default BENCH_PR12.json)
 //!   --tolerance X                     regression tolerance factor (default 1.25)
 //!   --paper                           paper protocol: 9 ticks × 1 s
 //! ```
@@ -247,7 +247,7 @@ const EXPERIMENTS: &[Experiment] = &[
             let Some(baseline) = c.opts.baseline.as_deref() else {
                 return ("regress requires --baseline PATH".into(), false);
             };
-            let candidate = c.opts.candidate.as_deref().unwrap_or("BENCH_PR10.json");
+            let candidate = c.opts.candidate.as_deref().unwrap_or("BENCH_PR12.json");
             regress(baseline, candidate, c.opts.tolerance.unwrap_or(1.25))
         },
         in_all: false,
@@ -283,7 +283,7 @@ fn usage() -> ExitCode {
          --layout rows|csr|compressed      index storage layout (default csr)\n  \
          --out PATH                        JSON output path (trace, bench-json, profile)\n  \
          --baseline PATH                   baseline bench JSON (regress)\n  \
-         --candidate PATH                  candidate bench JSON (regress; default BENCH_PR10.json)\n  \
+         --candidate PATH                  candidate bench JSON (regress; default BENCH_PR12.json)\n  \
          --tolerance X                     regression tolerance factor (default 1.25)\n  \
          --paper                           paper protocol: 9 ticks × 1 s"
     );

@@ -129,12 +129,13 @@ fn time_best<F: FnMut() -> u64>(mut f: F) -> (Duration, u64) {
     (best, sum)
 }
 
-/// Total index memory across all built orders (includes prefix hash maps).
+/// Total index memory across all built orders (includes the entry-point
+/// arrays).
 fn memory(ig: &IndexedGraph) -> usize {
     ig.built_orders().into_iter().map(|o| ig.require(o).memory_bytes()).sum()
 }
 
-/// Layout-owned storage across all built orders (hash maps excluded) —
+/// Layout-owned storage across all built orders (entry points excluded) —
 /// the numerator of the bytes/triple comparison.
 fn storage(ig: &IndexedGraph) -> usize {
     ig.built_orders().into_iter().map(|o| ig.require(o).storage_bytes()).sum()
@@ -158,7 +159,7 @@ pub struct IndexPoint {
     pub contains: Duration,
     /// Layout storage bytes across built orders.
     pub storage: usize,
-    /// Total index memory (storage + hash maps) across built orders.
+    /// Total index memory (storage + entry points) across built orders.
     pub memory: usize,
     /// Storage bytes per stored triple copy (each order stores every
     /// triple once, so this divides by orders × triples).

@@ -2,11 +2,11 @@
 //! batched walk runner.
 //!
 //! A batched walk step resolves one prefix range per live walk. Issuing
-//! the probes in sorted key order turns per-walk hash lookups into a
+//! the probes in sorted key order turns per-walk entry-point lookups into a
 //! near-sequential scan of the CSR level arrays: a cursor carried from
 //! the previous hit makes each gallop start where the last one ended, so
 //! a batch of B probes touches each cache line of `l0_keys`/`l1_keys` at
-//! most once instead of B random hash-bucket lines. An optional software
+//! most once instead of B random entry-point lines. An optional software
 //! prefetch pulls the window ahead of the cursor while the current probe
 //! resolves.
 //!
@@ -15,10 +15,10 @@
 //! order. The CSR and compressed layouts on a delta-free index take the
 //! galloping fast path (compressed seeks additionally skip whole
 //! bit-packed blocks via the per-block directory); the row layout and
-//! overlaid indexes fall back to the O(1) hash lookups per probe (still
+//! overlaid indexes fall back to the per-probe entry-point lookups (still
 //! counted in `index.trie.seek_batch`). All paths derive from the same
 //! sorted rows, so the ranges they return are identical —
-//! `batch_seeks_agree_with_hash_lookups` checks exactly that.
+//! `batch_seeks_agree_with_point_lookups` checks exactly that.
 
 use crate::columnar::GALLOP_LINEAR_SPAN;
 use crate::delta::LiveRange;
@@ -235,7 +235,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_seeks_agree_with_hash_lookups() {
+    fn batch_seeks_agree_with_point_lookups() {
         for layout in Layout::ALL {
             for idx in variants(layout) {
                 // 1-prefix probes: present, absent, duplicated, unsorted
@@ -284,7 +284,7 @@ mod tests {
     fn batch_seeks_cross_block_boundaries() {
         // A multi-block index (> 128 distinct l0 keys and > 128-wide l1
         // windows) with probes pinned to block edges: the compressed fast
-        // path must agree with the hash lookups exactly where directory
+        // path must agree with the point lookups exactly where directory
         // skips engage.
         let blk = crate::compressed::KEYS_PER_BLOCK as u32;
         let triples: Vec<Triple> = (0..4 * blk)

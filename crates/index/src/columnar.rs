@@ -18,7 +18,8 @@
 //! level's arrays, so a seek scans a contiguous `&[u32]` (4-byte stride, 16
 //! keys per cache line) and `next` is `pos + 1` — no run recomputation.
 //! Leaf positions coincide with row positions in the old layout, which
-//! preserves the hash-prefix [`RowRange`] entry points and O(1) sampling
+//! preserves the layout-independent [`RowRange`] entry points (see
+//! [`crate::store`]) and O(1) sampling
 //! untouched. The reverse maps `l1_of` (leaf → level-1 node) and `l0_of`
 //! (level-1 node → level-0 node) make full-row reconstruction O(1).
 

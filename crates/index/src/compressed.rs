@@ -4,7 +4,7 @@
 //! The CSR layout ([`crate::columnar::ColumnarTrie`]) stores every key as
 //! a full `u32` plus 8 bytes of reverse maps per leaf. This tier keeps the
 //! *same position space* — child-range offsets stay `u32` CSR-style, so
-//! leaf positions, hash [`RowRange`] entry points, `RowRange::pick`
+//! leaf positions, the shared [`RowRange`] entry points, `RowRange::pick`
 //! sampling, CTJ cache keys and WJ/AJ RNG streams are bit-identical — but
 //! swaps each level's key array for fixed-width blocks:
 //!

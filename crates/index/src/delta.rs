@@ -14,7 +14,7 @@
 //! [`TrieIndex::triple`] dispatch on this space, so a walk plan's
 //! extraction path works unchanged on sampled live positions.
 //!
-//! **Live ranges.** Hash-prefix lookups return a [`LiveRange`]: the main
+//! **Live ranges.** Prefix lookups return a [`LiveRange`]: the main
 //! range, the matching adds range, and the number of tombstones inside the
 //! main range. `len` is exact in O(1) (given the two `partition_point`
 //! calls that computed `dead`), preserving the paper's O(1) fan-out

@@ -221,7 +221,7 @@ impl IndexedGraph {
         self.graph.is_empty()
     }
 
-    /// True if the graph contains the triple (O(1) via the SPO hash maps +
+    /// True if the graph contains the triple (the SPO entry points + an
     /// O(log n) third level).
     pub fn contains(&self, t: Triple) -> bool {
         self.require(IndexOrder::Spo).contains_row(t.s.raw(), t.p.raw(), t.o.raw())

@@ -5,13 +5,17 @@
 //! The paper's engines (§V-A) share one physical design: each of four
 //! attribute orders (SPO, OPS, PSO, POS) stores the graph's triples in a
 //! sorted array, with hash tables mapping 1- and 2-attribute prefixes to
-//! contiguous ranges. The hash side gives **O(1) uniform sampling** for
-//! Wander Join / Audit Join random walks; the sorted side gives **O(log n)
-//! seeks** for the worst-case-optimal trie joins (LFTJ / CTJ).
+//! contiguous ranges. Here the "hash table" is an array indexed directly
+//! by the dense level-0 term id, with a search of the id's sorted level-1
+//! keys for 2-attribute prefixes. That side gives **O(1) uniform
+//! sampling** for Wander Join / Audit Join random walks; the sorted side
+//! gives **O(log n) seeks** for the worst-case-optimal trie joins (LFTJ /
+//! CTJ).
 //!
 //! Provided here:
-//! - [`TrieIndex`] — one order's sorted trie + prefix hash maps, behind a
-//!   runtime [`Layout`] (row-oriented, columnar CSR, or compressed),
+//! - [`TrieIndex`] — one order's sorted trie + direct-indexed entry points,
+//!   behind a runtime [`Layout`] (row-oriented, columnar CSR, or
+//!   compressed),
 //! - [`ColumnarTrie`] — the CSR per-level key/offset arrays,
 //! - [`CompressedTrie`] — bit-packed key blocks with a per-block directory
 //!   and frequency-ordered dense-id re-encoding,

@@ -1,13 +1,18 @@
-//! A single-order trie index: hash prefix maps over either row-oriented or
-//! columnar CSR storage.
+//! A single-order trie index: direct-indexed entry points over either
+//! row-oriented, columnar CSR or compressed storage.
 //!
 //! This is the paper's *hybrid hashtable/trie* structure (§V-A): "the
 //! hashtable indexes point to a sorted array, allowing O(1)-time sampling
-//! for WJ and O(log n)-time search for CTJ". Hash maps give O(1) access to
-//! the contiguous range of any 1- or 2-value prefix; galloping search
-//! handles the third level. Three physical layouts sit behind the same
-//! position space (see [`Layout`]): leaf positions are identical in all
-//! of them, so ranges, sampling and cache keys carry over unchanged.
+//! for WJ and O(log n)-time search for CTJ". Term ids are dense (the
+//! dictionary hands out `0, 1, 2, …`), so the level-0 "hashtable" is a
+//! plain array indexed by the id: [`EntryPoints`] gives any 1-value prefix
+//! its contiguous row range in O(1), and a 2-value prefix by a binary
+//! search inside the level-0 value's sorted window of level-1 keys (the
+//! in-node search of Perego, Pibiri and Venturini's compressed tries).
+//! Galloping search handles the third level. Three physical layouts sit
+//! behind the same position space (see [`Layout`]): leaf positions are
+//! identical in all of them, so ranges, sampling and cache keys carry
+//! over unchanged.
 
 use std::sync::Arc;
 
@@ -16,7 +21,6 @@ use kgoa_rdf::Triple;
 use crate::columnar::ColumnarTrie;
 use crate::compressed::CompressedTrie;
 use crate::delta::DeltaPart;
-use crate::hash::{pack2, FxHashMap};
 use crate::order::IndexOrder;
 
 /// A half-open range of row positions within a [`TrieIndex`].
@@ -146,12 +150,101 @@ pub(crate) struct IndexCore {
     order: IndexOrder,
     len: u32,
     storage: Storage,
-    l1: FxHashMap<u32, RowRange>,
-    l2: FxHashMap<u64, RowRange>,
-    /// Number of distinct level-1 values under each level-0 value
-    /// (e.g. for PSO: distinct subjects per predicate). Used by the
-    /// PostgreSQL-style join-size estimates that drive the tipping point.
-    l1_children: FxHashMap<u32, u32>,
+    entry: EntryPoints,
+}
+
+/// Layout-independent entry points of a trie: the row range of every
+/// 1- and 2-value prefix, from three flat `u32` arrays and no hashing.
+///
+/// Level-1 nodes (distinct `(a, b)` prefixes) are numbered in row order.
+/// `node_of[a]..node_of[a + 1]` is `a`'s window of level-1 nodes — empty
+/// for an absent id or one past the largest level-0 id — `keys1[j]` is
+/// node `j`'s level-1 key (sorted within each window), and
+/// `starts[j]..starts[j + 1]` are its rows.
+#[derive(Debug)]
+struct EntryPoints {
+    /// Level-1 node window per level-0 id; length max level-0 id + 2 (one
+    /// entry for an empty trie).
+    node_of: Vec<u32>,
+    /// Level-1 key of each node.
+    keys1: Vec<u32>,
+    /// First row of each node, plus the row count as a sentinel.
+    starts: Vec<u32>,
+    /// Number of distinct level-0 values.
+    distinct_l0: u32,
+}
+
+impl EntryPoints {
+    fn from_sorted_rows(rows: &[[u32; 3]]) -> Self {
+        let max_a = rows.last().map_or(0, |r| r[0] as usize + 1);
+        let mut node_of = Vec::with_capacity(max_a + 1);
+        let mut keys1 = Vec::new();
+        let mut starts = Vec::new();
+        let mut distinct_l0 = 0u32;
+        let mut prev: Option<[u32; 2]> = None;
+        for (i, row) in rows.iter().enumerate() {
+            let prefix = [row[0], row[1]];
+            if prev == Some(prefix) {
+                continue;
+            }
+            if prev.map(|p| p[0]) != Some(row[0]) {
+                // Ids below `a` not seen yet get an empty window at the
+                // current node count; `a`'s window opens here.
+                node_of.resize(row[0] as usize + 1, keys1.len() as u32);
+                distinct_l0 += 1;
+            }
+            keys1.push(row[1]);
+            starts.push(i as u32);
+            prev = Some(prefix);
+        }
+        node_of.resize(max_a + 1, keys1.len() as u32);
+        starts.push(rows.len() as u32);
+        keys1.shrink_to_fit();
+        starts.shrink_to_fit();
+        EntryPoints { node_of, keys1, starts, distinct_l0 }
+    }
+
+    /// `a`'s window of level-1 node ids (empty when `a` is absent).
+    #[inline]
+    fn window(&self, a: u32) -> std::ops::Range<usize> {
+        let a = a as usize;
+        match (self.node_of.get(a), self.node_of.get(a + 1)) {
+            (Some(&lo), Some(&hi)) => lo as usize..hi as usize,
+            _ => 0..0,
+        }
+    }
+
+    #[inline]
+    fn range1(&self, a: u32) -> RowRange {
+        let w = self.window(a);
+        if w.is_empty() {
+            RowRange::EMPTY
+        } else {
+            RowRange { start: self.starts[w.start], end: self.starts[w.end] }
+        }
+    }
+
+    #[inline]
+    fn range2(&self, a: u32, b: u32) -> RowRange {
+        let w = self.window(a);
+        match self.keys1[w.clone()].binary_search(&b) {
+            Ok(i) => {
+                let j = w.start + i;
+                RowRange { start: self.starts[j], end: self.starts[j + 1] }
+            }
+            Err(_) => RowRange::EMPTY,
+        }
+    }
+
+    #[inline]
+    fn children_of(&self, a: u32) -> u32 {
+        self.window(a).len() as u32
+    }
+
+    fn memory_bytes(&self) -> usize {
+        (self.node_of.capacity() + self.keys1.capacity() + self.starts.capacity())
+            * std::mem::size_of::<u32>()
+    }
 }
 
 /// A sorted trie over all triples of a graph in one attribute order.
@@ -196,45 +289,14 @@ impl TrieIndex {
     /// sortedness.
     pub fn from_sorted_rows_in(order: IndexOrder, rows: Vec<[u32; 3]>, layout: Layout) -> Self {
         debug_assert!(rows.windows(2).all(|w| w[0] < w[1]), "rows must be sorted+distinct");
-        let mut l1 = FxHashMap::default();
-        let mut l2 = FxHashMap::default();
-        let mut l1_children = FxHashMap::default();
-        let n = rows.len();
-        let mut i = 0usize;
-        while i < n {
-            let a = rows[i][0];
-            let mut j = i;
-            let mut children = 0u32;
-            while j < n && rows[j][0] == a {
-                let b = rows[j][1];
-                let mut k = j;
-                while k < n && rows[k][0] == a && rows[k][1] == b {
-                    k += 1;
-                }
-                l2.insert(pack2(a, b), RowRange { start: j as u32, end: k as u32 });
-                children += 1;
-                j = k;
-            }
-            l1.insert(a, RowRange { start: i as u32, end: j as u32 });
-            l1_children.insert(a, children);
-            i = j;
-        }
+        let entry = EntryPoints::from_sorted_rows(&rows);
+        let len = rows.len() as u32;
         let storage = match layout {
             Layout::Csr => Storage::Csr(ColumnarTrie::from_sorted_rows(&rows)),
             Layout::Compressed => Storage::Compressed(CompressedTrie::from_sorted_rows(&rows)),
             Layout::Rows => Storage::Rows(rows),
         };
-        TrieIndex {
-            core: Arc::new(IndexCore {
-                order,
-                len: n as u32,
-                storage,
-                l1,
-                l2,
-                l1_children,
-            }),
-            delta: None,
-        }
+        TrieIndex { core: Arc::new(IndexCore { order, len, storage, entry }), delta: None }
     }
 
     /// The delta overlay, if any (crate-internal; the public live API
@@ -308,13 +370,14 @@ impl TrieIndex {
     /// O(1): the range of rows whose first attribute equals `a`.
     #[inline]
     pub fn range1(&self, a: u32) -> RowRange {
-        self.core.l1.get(&a).copied().unwrap_or(RowRange::EMPTY)
+        self.core.entry.range1(a)
     }
 
-    /// O(1): the range of rows whose first two attributes equal `(a, b)`.
+    /// The range of rows whose first two attributes equal `(a, b)`: one
+    /// O(1) window read plus a binary search over `a`'s level-1 keys.
     #[inline]
     pub fn range2(&self, a: u32, b: u32) -> RowRange {
-        self.core.l2.get(&pack2(a, b)).copied().unwrap_or(RowRange::EMPTY)
+        self.core.entry.range2(a, b)
     }
 
     /// Range lookup for a prefix of 0, 1 or 2 values.
@@ -328,8 +391,8 @@ impl TrieIndex {
     }
 
     /// Position of the row `(a, b, c)` (in this order's layout), if
-    /// present: O(1) prefix hash + binary search over the contiguous
-    /// level-2 key slice.
+    /// present: the [`TrieIndex::range2`] entry point + binary search over
+    /// the contiguous level-2 key slice.
     pub fn locate(&self, a: u32, b: u32, c: u32) -> Option<u32> {
         let r = self.range2(a, b);
         match &self.core.storage {
@@ -394,13 +457,15 @@ impl TrieIndex {
     /// Number of distinct level-0 values.
     #[inline]
     pub fn distinct_l0(&self) -> usize {
-        self.core.l1.len()
+        self.core.entry.distinct_l0 as usize
     }
 
-    /// Number of distinct level-1 values under level-0 value `a`.
+    /// Number of distinct level-1 values under level-0 value `a` (e.g.
+    /// for PSO: distinct subjects per predicate), in O(1). Used by the
+    /// PostgreSQL-style join-size estimates that drive the tipping point.
     #[inline]
     pub fn children_of(&self, a: u32) -> u32 {
-        self.core.l1_children.get(&a).copied().unwrap_or(0)
+        self.core.entry.children_of(a)
     }
 
     /// Iterate over all distinct level-0 values with their ranges, in
@@ -438,8 +503,8 @@ impl TrieIndex {
     }
 
     /// Physical storage bytes of the main part only — the layout-specific
-    /// arrays, excluding the (layout-independent) hash prefix maps and any
-    /// delta overlay. The basis for the bytes/triple comparison in
+    /// arrays, excluding the (layout-independent) entry-point arrays and
+    /// any delta overlay. The basis for the bytes/triple comparison in
     /// `repro index-bench`.
     pub fn storage_bytes(&self) -> usize {
         match &self.core.storage {
@@ -449,7 +514,8 @@ impl TrieIndex {
         }
     }
 
-    /// Approximate heap memory used by this index, in bytes.
+    /// Heap memory used by this index, in bytes: storage, entry-point
+    /// arrays and delta overlay.
     pub fn memory_bytes(&self) -> usize {
         let storage = match &self.core.storage {
             Storage::Rows(rows) => rows.len() * std::mem::size_of::<[u32; 3]>(),
@@ -459,11 +525,7 @@ impl TrieIndex {
         let delta = self.delta.as_deref().map_or(0, |d| {
             d.adds.memory_bytes() + d.tomb.capacity() * std::mem::size_of::<u32>()
         });
-        storage
-            + delta
-            + self.core.l1.capacity() * (4 + std::mem::size_of::<RowRange>() + 8)
-            + self.core.l2.capacity() * (8 + std::mem::size_of::<RowRange>() + 8)
-            + self.core.l1_children.capacity() * (4 + 4 + 8)
+        storage + delta + self.core.entry.memory_bytes()
     }
 }
 

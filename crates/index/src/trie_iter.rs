@@ -47,8 +47,8 @@ struct CsrLevel {
 /// [`TrieIndex`].
 ///
 /// The cursor may start below the trie root: a pattern with leading
-/// constants resolves the constants to a [`RowRange`] via the index's hash
-/// prefix maps and then exposes only the remaining levels. `prefix_len` is
+/// constants resolves the constants to a [`RowRange`] via the index's entry
+/// points and then exposes only the remaining levels. `prefix_len` is
 /// the number of attributes already fixed by that prefix.
 #[derive(Debug, Clone)]
 pub struct TrieCursor<'a> {

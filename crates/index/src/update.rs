@@ -4,7 +4,7 @@
 //! Rebuilding a trie index from scratch costs a full O(n log n) sort per
 //! order. When a batch of new triples arrives, the existing rows are
 //! already sorted, so each order can instead sort only the (small) batch
-//! and merge — O(n + m log m) — and rebuild its prefix hash maps in the
+//! and merge — O(n + m log m) — and rebuild its entry-point arrays in the
 //! same linear pass it would need anyway. Deletions are handled in the
 //! same merge (set difference), so a batch can mix inserts and removes.
 

@@ -79,15 +79,19 @@ fn help_line(out: &mut String, name: &str, dotted: &str, kind: &str) {
 fn render_histogram(out: &mut String, h: &Histogram) {
     let name = prometheus_name(h.name());
     help_line(out, &name, h.name(), "histogram");
-    let count = h.count();
+    // Read every bucket exactly once and derive `+Inf`/`_count` from that
+    // snapshot: a `record` racing with the render then lands in all of
+    // the lines or in none, so no finite bucket can exceed `+Inf`.
+    let buckets: [u64; BUCKETS] = std::array::from_fn(|b| h.bucket_count(b));
+    let count: u64 = buckets.iter().sum();
     let mut cumulative = 0u64;
     if count > 0 {
         // Emit up to the highest occupied bucket; bucket 64's bound is
         // u64::MAX, which Prometheus spells +Inf, so cap at 63 and let
         // the +Inf line absorb the rest.
-        let top = (0..BUCKETS).rev().find(|b| h.bucket_count(*b) > 0).unwrap_or(0);
-        for b in 0..=top.min(63) {
-            cumulative += h.bucket_count(b);
+        let top = buckets.iter().rposition(|&c| c > 0).unwrap_or(0);
+        for (b, &c) in buckets.iter().enumerate().take(top.min(63) + 1) {
+            cumulative += c;
             out.push_str(&format!(
                 "{name}_bucket{{le=\"{}\"}} {cumulative}\n",
                 Histogram::bucket_bound(b)
@@ -703,6 +707,38 @@ mod tests {
             .unwrap();
         assert_eq!(inf, h.count(), "+Inf bucket equals _count");
         assert_eq!(*counts.last().unwrap(), h.count(), "all samples are below bucket 63");
+    }
+
+    #[test]
+    fn render_racing_a_recorder_stays_valid() {
+        // One thread records across many buckets while another renders;
+        // every render must pass the exposition checks (reading the count
+        // apart from the buckets lets a racing record put a finite bucket
+        // above +Inf).
+        let h = Histogram::new("test.exposition.racing");
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                start.wait();
+                let mut v = 1u64;
+                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                    h.record_always(v >> (v % 41));
+                    v = v.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                }
+            });
+            start.wait();
+            for i in 0..2_000 {
+                let mut out = String::new();
+                render_histogram(&mut out, &h);
+                if let Err(e) = check_exposition(&out) {
+                    stop.store(true, std::sync::atomic::Ordering::Relaxed);
+                    panic!("render {i} invalid: {e}\n{out}");
+                }
+            }
+            stop.store(true, std::sync::atomic::Ordering::Relaxed);
+        });
+        assert!(h.count() > 0, "the recorder ran");
     }
 
     #[test]

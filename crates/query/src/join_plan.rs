@@ -4,7 +4,7 @@
 //! needs a trie whose level sequence is compatible: the pattern's variables
 //! must appear at consecutive-or-later levels in increasing global order.
 //! Constants may occupy any level — leading constants are resolved through
-//! the hash prefix maps, embedded constants by a `seek` at their level.
+//! the index entry points, embedded constants by a `seek` at their level.
 
 use kgoa_index::IndexOrder;
 use kgoa_rdf::TermId;

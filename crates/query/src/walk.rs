@@ -101,7 +101,8 @@ impl WalkAccess {
     /// Resolve the candidate row range for this access within `index`
     /// (which must be the index for [`WalkAccess::order`]).
     ///
-    /// O(1) for prefixes of length ≤ 2 (hash maps); O(log n) for the
+    /// O(1) for a 1-value prefix, a search of one level-1 window for a
+    /// 2-value prefix (the index entry points); O(log n) for the
     /// fully-bound existence check.
     pub fn resolve(&self, index: &TrieIndex, in_value: Option<u32>) -> RowRange {
         let vals = self.prefix_values(in_value);
