@@ -22,7 +22,7 @@ fn main() {
 
     let mut wj = WanderJoin::new(ig, &q.generated.query, 1).expect("wj");
     run_walks(&mut wj, 1000); // warm up
-    runner.bench("walk/wander_join", || wj.walk());
+    runner.bench("walk/wander_join", || run_walks(&mut wj, 1));
 
     let mut aj = AuditJoin::new(
         ig,
@@ -31,7 +31,7 @@ fn main() {
     )
     .expect("aj");
     run_walks(&mut aj, 1000); // warm caches
-    runner.bench("walk/audit_join", || aj.walk());
+    runner.bench("walk/audit_join", || run_walks(&mut aj, 1));
 
     let mut aj = AuditJoin::new(
         ig,
@@ -40,5 +40,5 @@ fn main() {
     )
     .expect("aj");
     run_walks(&mut aj, 1000);
-    runner.bench("walk/audit_join_no_tipping", || aj.walk());
+    runner.bench("walk/audit_join_no_tipping", || run_walks(&mut aj, 1));
 }

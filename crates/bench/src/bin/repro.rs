@@ -16,7 +16,6 @@
 //!   --seed N                          workload seed
 //!   --tipping X                       AJ tipping threshold (default 1024)
 //!   --threads N                       cap on the scale thread sweep (default 8)
-//!   --batch N                         walks per SoA batch (default 256; 1 = legacy parity)
 //!   --layout rows|csr|compressed      index storage layout (default csr)
 //!   --out PATH                        JSON output path (trace, bench-json, profile)
 //!   --baseline PATH                   baseline bench JSON (regress)
@@ -32,7 +31,7 @@ use kgoa_bench::{
     ablate_cache, ablate_order, ablate_tipping, bench_json, churn_bench, deadline_sweep,
     fig11, fig8, fig9_10, index_bench, layout_parity, load_datasets_in, monitor_bench,
     obs_overhead, parallel_scaling, prepare_workload, profile_report, quality_bench, regress,
-    sample_time, scale_bench, table1, trace_report, verify_engines, walks_bench, BenchConfig,
+    sample_time, scale_bench, table1, trace_report, verify_engines, BenchConfig,
     Dataset, PreparedQuery,
 };
 use kgoa_datagen::Scale;
@@ -234,13 +233,6 @@ const EXPERIMENTS: &[Experiment] = &[
         needs_workload: false,
     },
     Experiment {
-        name: "walks",
-        help: "batched walk throughput sweep + batch-1 parity gate (nonzero exit on fail)",
-        run: |c| walks_bench(c.datasets, c.workload, c.cfg),
-        in_all: true,
-        needs_workload: true,
-    },
-    Experiment {
         name: "regress",
         help: "bench regression gate vs --baseline (nonzero exit on fail)",
         run: |c| {
@@ -279,7 +271,6 @@ fn usage() -> ExitCode {
          --seed N                          workload seed\n  \
          --tipping X                       AJ tipping threshold (default 1024)\n  \
          --threads N                       cap on the scale thread sweep (default 8)\n  \
-         --batch N                         walks per SoA batch (default 256; 1 = legacy parity)\n  \
          --layout rows|csr|compressed      index storage layout (default csr)\n  \
          --out PATH                        JSON output path (trace, bench-json, profile)\n  \
          --baseline PATH                   baseline bench JSON (regress)\n  \
@@ -340,10 +331,6 @@ fn main() -> ExitCode {
             },
             "--threads" => match take_value(&mut i).and_then(|v| v.parse().ok()) {
                 Some(v) => cfg.threads = v,
-                None => return usage(),
-            },
-            "--batch" => match take_value(&mut i).and_then(|v| v.parse().ok()) {
-                Some(v) => cfg.batch = v,
                 None => return usage(),
             },
             "--layout" => match take_value(&mut i).and_then(|v| Layout::parse(&v)) {

@@ -24,7 +24,7 @@ use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 use kgoa_core::{
-    run_walks_batched, supervise, AuditJoin, AuditJoinConfig, EpochConfig, EpochManager,
+    run_walks, supervise, AuditJoin, AuditJoinConfig, EpochConfig, EpochManager,
     OnlineAggregator, SupervisedResult, SupervisorConfig,
 };
 use kgoa_datagen::{generate, KgConfig};
@@ -141,7 +141,7 @@ pub fn churn_bench(cfg: &BenchConfig) -> (String, bool) {
             ..AuditJoinConfig::default()
         };
         let mut aj = AuditJoin::new(&guard, &query, config).unwrap();
-        run_walks_batched(&mut aj, WALKS_PER_TICK, cfg.batch);
+        run_walks(&mut aj, WALKS_PER_TICK);
         let mae = mean_absolute_error(&truth, &aj.estimates());
         worst_mae = worst_mae.max(mae);
 

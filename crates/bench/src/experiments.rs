@@ -267,7 +267,7 @@ pub fn sample_time(datasets: &[Dataset], workload: &[PreparedQuery], cfg: &Bench
         let t0 = Instant::now();
         for _ in 0..walks {
             let s0 = Instant::now();
-            agg.step();
+            run_walks(agg, 1);
             max = max.max(s0.elapsed().as_secs_f64());
         }
         (t0.elapsed().as_secs_f64() / walks as f64, max)

@@ -8,7 +8,7 @@
 //! - `index-bench` builds all three layouts over the paper-shaped graphs
 //!   (at 10× the configured scale, where the space/speed trade-off is
 //!   visible) and times construction plus the three index hot paths (full
-//!   trie walks, galloped seeks, point containment) plus batched Wander
+//!   trie walks, galloped seeks, point containment) plus Wander
 //!   Join throughput, and reports storage bytes per stored triple — the
 //!   micro-level evidence behind the BENCH macro numbers;
 //! - `layout-parity` is a gate: leaf positions, `pick` draws, exact
@@ -19,7 +19,7 @@
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
-use kgoa_core::{run_walks_batched, WanderJoin};
+use kgoa_core::{run_walks, WanderJoin};
 use kgoa_datagen::{generate_with_info, KgConfig};
 use kgoa_engine::{CountEngine, CtjEngine, LftjEngine, YannakakisEngine};
 use kgoa_explore::{generate_explorations, GeneratorConfig};
@@ -49,7 +49,7 @@ const PROBES: usize = 50_000;
 /// separate once the key columns outgrow small caches.
 pub const INDEX_SCALE_MULT: usize = 10;
 
-/// Walks used to measure batched Wander Join throughput per layout —
+/// Walks used to measure Wander Join throughput per layout —
 /// enough for each timed run to outlast scheduler jitter (tens of
 /// milliseconds on the fast layouts at the 10×-scaled configs).
 const WJ_THROUGHPUT_WALKS: u64 = 30_000;
@@ -164,7 +164,7 @@ pub struct IndexPoint {
     /// Storage bytes per stored triple copy (each order stores every
     /// triple once, so this divides by orders × triples).
     pub bytes_per_triple: f64,
-    /// Batched Wander Join throughput, walks/second.
+    /// Wander Join throughput, walks/second.
     pub wj_walks_per_sec: f64,
 }
 
@@ -178,7 +178,7 @@ fn scale_up(mut kg: KgConfig, mult: usize) -> KgConfig {
     kg
 }
 
-/// Measure batched Wander Join throughput over one deterministic
+/// Measure Wander Join throughput over one deterministic
 /// generated query. The canonical walk plan is used so every layout
 /// walks the identical order (and, by parity, the identical RNG
 /// stream) — any walks/sec difference is pure storage effect.
@@ -197,7 +197,7 @@ fn wj_throughput(ig: &IndexedGraph, cfg: &BenchConfig) -> f64 {
         let mut wj =
             WanderJoin::with_plan(ig, q, plan.clone(), cfg.seed).expect("wj");
         let t0 = Instant::now();
-        run_walks_batched(&mut wj, WJ_THROUGHPUT_WALKS, cfg.batch);
+        run_walks(&mut wj, WJ_THROUGHPUT_WALKS);
         best = best.min(t0.elapsed().as_secs_f64());
     }
     if best > 0.0 && best.is_finite() { WJ_THROUGHPUT_WALKS as f64 / best } else { 0.0 }
@@ -252,7 +252,7 @@ fn render_index_report(points: &[IndexPoint]) -> String {
         out,
         "{} probes per micro-op; walk = full trie DFS (CTJ enumeration), seek = \
          per-attribute galloped descent (LFTJ/WJ navigation), contains = point lookup, \
-         wj/s = batched Wander Join walks per second.\n",
+         wj/s = Wander Join walks per second.\n",
         PROBES
     )
     .unwrap();

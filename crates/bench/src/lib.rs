@@ -31,8 +31,7 @@ pub use monitor::monitor_bench;
 pub use profiler::{folded_path_for, profile_report, regress};
 pub use quality::quality_bench;
 pub use telemetry::{
-    bench_json, obs_overhead, scale_bench, trace_report, walks_bench, BENCH_SCHEMA,
-    TRACE_SCHEMA, WALK_BATCH_SWEEP,
+    bench_json, obs_overhead, scale_bench, trace_report, BENCH_SCHEMA, TRACE_SCHEMA,
 };
 pub use workload::{
     load_datasets, load_datasets_in, prepare_workload, run_fixed_walks, run_series,

@@ -229,7 +229,7 @@ pub fn quality_bench(cfg: &BenchConfig) -> (String, bool) {
             2,
             Budget::WalksPerWorker(2048),
             cfg.seed,
-            StreamConfig { batch: cfg.batch.max(1), refresh: Duration::from_millis(5) },
+            StreamConfig { refresh: Duration::from_millis(5), ..StreamConfig::default() },
             |_| {},
         );
         let summaries = kgoa_obs::quality::convergence_summary();

@@ -264,12 +264,6 @@ pub fn bench_json(
         scale_json(q, cfg.tick, &points)
     });
 
-    // The batched-walk sweep rides along too (`walks` key), so the
-    // committed snapshot records walks/sec per batch size next to the
-    // single-walk numbers the regression gate compares.
-    let (walk_rows, walks_parity) = walks_points(datasets, workload, cfg, &mut report);
-    assert!(walks_parity, "batch-1 runs must reproduce the sequential runner bit for bit");
-
     // The index layout A/B rides along under the `index` key, so the
     // committed snapshot records bytes/triple and the compressed-layout
     // space/speed ratios (PR 10) next to the numbers the regression gate
@@ -300,7 +294,6 @@ pub fn bench_json(
     if let Some(scale) = scale {
         fields.push(("scale".into(), scale));
     }
-    fields.push(("walks".into(), Json::Arr(walk_rows)));
     fields.push(("index".into(), crate::layouts::index_points_json(&index_pts)));
     fields.push(("telemetry".into(), snap.to_json()));
     let doc = Json::Obj(fields);
@@ -312,178 +305,6 @@ pub fn bench_json(
     std::fs::write(path, &text).expect("write bench JSON");
     writeln!(report, "\nwrote {path} ({} bytes)", text.len()).unwrap();
     report
-}
-
-/// Batch sizes the `repro walks` sweep visits. 1 is the bit-identical
-/// compatibility mode; 256 is the production default ([`StreamConfig`]).
-pub const WALK_BATCH_SWEEP: [u64; 4] = [1, 16, 64, 256];
-
-/// Walk budget per (algo, batch) point of the sweep.
-const SWEEP_WALKS: u64 = 2048;
-
-/// Bit-exact fingerprint of a [`kgoa_engine::GroupedEstimates`]: sorted
-/// `(group, estimate bits, half-width bits)` rows, so two runs compare
-/// equal only when every float matches to the last bit.
-fn estimate_bits(est: &kgoa_engine::GroupedEstimates) -> Vec<(u32, u64, u64)> {
-    let mut rows: Vec<(u32, u64, u64)> = est
-        .estimates
-        .iter()
-        .map(|(g, x)| {
-            let hw = est.half_widths.get(g).copied().unwrap_or(f64::NAN);
-            (*g, x.to_bits(), hw.to_bits())
-        })
-        .collect();
-    rows.sort_unstable();
-    rows
-}
-
-/// Measure the batched-walk sweep on the deepest query of each dataset:
-/// WJ and AJ throughput at every batch size in [`WALK_BATCH_SWEEP`], with
-/// a legacy sequential reference run backing the batch-1 parity gate
-/// (same plan, same seed — the batch-1 run must reproduce the sequential
-/// estimates, half-widths, and walk counters bit for bit; DESIGN.md §4j).
-/// Returns the JSON rows and whether parity held everywhere.
-fn walks_points(
-    datasets: &[Dataset],
-    workload: &[PreparedQuery],
-    cfg: &BenchConfig,
-    report: &mut String,
-) -> (Vec<Json>, bool) {
-    let mut rows = Vec::new();
-    let mut parity_ok = true;
-    for (di, ds) in datasets.iter().enumerate() {
-        let Some(q) = workload
-            .iter()
-            .filter(|q| q.dataset == di)
-            .max_by_key(|q| q.generated.step)
-        else {
-            continue;
-        };
-        let ig = &ds.ig;
-        let query = &q.generated.query;
-        // One plan per algorithm, selected once so every batch size (and
-        // the sequential reference) walks the exact same plan.
-        let wj_plan = select_walk_plan(ig, query, cfg);
-        let aj_cfg = AuditJoinConfig {
-            tipping: kgoa_core::Tipping::from_threshold(cfg.tipping_threshold),
-            seed: cfg.seed,
-        };
-        let aj_plan = crate::workload::select_aj_plan(ig, query, cfg, aj_cfg);
-        for algo in [Algo::Wj, Algo::Aj] {
-            let fresh = || -> Box<dyn kgoa_core::OnlineAggregator> {
-                match algo {
-                    Algo::Wj => Box::new(
-                        WanderJoin::with_plan(ig, query, wj_plan.clone(), cfg.seed)
-                            .expect("wj"),
-                    ),
-                    Algo::Aj => Box::new(
-                        AuditJoin::with_plan(ig, query, aj_plan.clone(), aj_cfg).expect("aj"),
-                    ),
-                }
-            };
-            // Sequential reference (the pre-batching walk loop).
-            let mut seq = fresh();
-            kgoa_core::run_walks(seq.as_mut(), SWEEP_WALKS);
-            let seq_bits = estimate_bits(&seq.estimates());
-            let seq_stats = seq.stats();
-
-            let mut per_batch = Vec::new();
-            for batch in WALK_BATCH_SWEEP {
-                let mut est = fresh();
-                let t = Instant::now();
-                kgoa_core::run_walks_batched(est.as_mut(), SWEEP_WALKS, batch);
-                let secs = t.elapsed().as_secs_f64().max(1e-9);
-                let stats = est.stats();
-                let estimates = est.estimates();
-                let mae = kgoa_engine::mean_absolute_error(&q.exact_distinct, &estimates);
-                let walks_per_sec = stats.walks as f64 / secs;
-                if batch == 1 {
-                    let identical =
-                        estimate_bits(&estimates) == seq_bits && stats == seq_stats;
-                    parity_ok &= identical;
-                    writeln!(
-                        report,
-                        "{:<28} {:>3} batch 1 vs sequential: {}",
-                        q.id,
-                        algo.name(),
-                        if identical { "bit-identical" } else { "DIVERGED" }
-                    )
-                    .unwrap();
-                }
-                writeln!(
-                    report,
-                    "{:<28} {:>3} batch {:>3}: {:>10.0} walks/s  MAE {:>7.4}",
-                    q.id,
-                    algo.name(),
-                    batch,
-                    walks_per_sec,
-                    mae
-                )
-                .unwrap();
-                per_batch.push((batch, walks_per_sec));
-                rows.push(Json::Obj(vec![
-                    ("dataset".into(), Json::str(ds.name)),
-                    ("query".into(), Json::str(&q.id)),
-                    ("algo".into(), Json::str(algo.name())),
-                    ("batch".into(), Json::Num(batch as f64)),
-                    ("walks".into(), Json::Num(stats.walks as f64)),
-                    ("mae".into(), Json::Num(mae)),
-                    ("walks_per_sec".into(), Json::Num(walks_per_sec)),
-                ]));
-            }
-            let base = per_batch.iter().find(|(b, _)| *b == 1).map(|(_, w)| *w);
-            let peak = per_batch
-                .iter()
-                .find(|(b, _)| *b == cfg.batch)
-                .or_else(|| per_batch.last())
-                .map(|(_, w)| *w);
-            if let (Some(base), Some(peak)) = (base, peak) {
-                if base > 0.0 {
-                    writeln!(
-                        report,
-                        "{:<28} {:>3} speedup at batch {}: {:.2}x over batch 1",
-                        q.id,
-                        algo.name(),
-                        cfg.batch,
-                        peak / base
-                    )
-                    .unwrap();
-                }
-            }
-        }
-    }
-    (rows, parity_ok)
-}
-
-/// `repro walks`: batched walk-throughput sweep + batch-1 parity gate.
-/// Reports `walks_per_sec` for WJ and AJ at every batch size in
-/// [`WALK_BATCH_SWEEP`] and fails (nonzero exit) when a batch-1 run is
-/// not bit-identical to the legacy sequential runner. The same rows ride
-/// inside the `repro bench-json` document (`walks` key) so the committed
-/// `BENCH_PR9.json` records them for the regression chain.
-pub fn walks_bench(
-    datasets: &[Dataset],
-    workload: &[PreparedQuery],
-    cfg: &BenchConfig,
-) -> (String, bool) {
-    let mut report = String::new();
-    writeln!(report, "## Batched walk throughput sweep (batch-1 parity gate)\n").unwrap();
-    let (rows, parity_ok) = walks_points(datasets, workload, cfg, &mut report);
-    if rows.is_empty() {
-        writeln!(report, "FAIL: empty workload").unwrap();
-        return (report, false);
-    }
-    writeln!(
-        report,
-        "\n{}",
-        if parity_ok {
-            "PASS: every batch-1 run reproduced the sequential runner bit for bit"
-        } else {
-            "FAIL: a batch-1 run diverged from the sequential runner"
-        }
-    )
-    .unwrap();
-    (report, parity_ok)
 }
 
 /// One row of the `repro scale` thread sweep.

@@ -41,9 +41,6 @@ pub struct BenchConfig {
     /// Cap on the `repro scale` thread sweep (the sweep visits
     /// {1, 2, 4, 8} ∩ [1, threads]; `--threads 2` makes a CI smoke run).
     pub threads: usize,
-    /// Walks per SoA batch for the batched runners (`--batch 1` is the
-    /// bit-identical compatibility mode; see DESIGN.md §4j).
-    pub batch: u64,
 }
 
 impl Default for BenchConfig {
@@ -59,7 +56,6 @@ impl Default for BenchConfig {
             wj_order_trials: 1024,
             layout: Layout::default(),
             threads: 8,
-            batch: 256,
         }
     }
 }

@@ -20,7 +20,7 @@ use kgoa_engine::{BudgetExceeded, BudgetMeter, CtjCounter, ExecBudget};
 use kgoa_index::{pack2, FxHashMap, IndexedGraph, LiveRange, TrieIndex};
 use kgoa_query::{ExplorationQuery, QueryError, SuffixEstimator, Var, WalkPlan};
 use rand::rngs::SmallRng;
-use rand::{RngCore, SeedableRng};
+use rand::SeedableRng;
 
 use crate::accum::{GroupAccumulator, WalkStats};
 use crate::online::OnlineAggregator;
@@ -143,8 +143,6 @@ pub struct AuditJoin<'g> {
     masses: FxHashMap<u64, f64>,
     group_counts: FxHashMap<u32, u64>,
     group_sums: FxHashMap<u32, f64>,
-    /// SoA scratch for the batched runner (empty until the first batch).
-    batch: crate::batch::BatchScratch,
 }
 
 impl<'g> AuditJoin<'g> {
@@ -211,7 +209,6 @@ impl<'g> AuditJoin<'g> {
             masses: FxHashMap::default(),
             group_counts: FxHashMap::default(),
             group_sums: FxHashMap::default(),
-            batch: crate::batch::BatchScratch::default(),
         })
     }
 
@@ -317,22 +314,15 @@ impl<'g> AuditJoin<'g> {
         drop(span);
     }
 
-    /// Execute one walk (lines 5–20 of Fig. 7).
-    pub fn walk(&mut self) {
-        self.walk_governed(&ExecBudget::unlimited())
-            .expect("unlimited budget cannot trip");
-    }
-
-    /// Execute one walk under a cooperative budget, checked before every
-    /// step and throughout the exact suffix computation at the tipping
-    /// point (the suffix recursion ticks a [`BudgetMeter`], so even a cold
-    /// cache cannot overshoot the deadline by more than one stride).
-    /// An aborted walk is **not** counted in `stats.walks` and contributes
-    /// nothing, so the estimator stays unbiased over the completed walks.
-    pub fn walk_governed(&mut self, budget: &ExecBudget) -> Result<(), BudgetExceeded> {
+    /// Execute one walk (lines 5–20 of Fig. 7) under a cooperative
+    /// budget, checked before every step and throughout the exact suffix
+    /// computation at the tipping point (the suffix recursion ticks a
+    /// [`BudgetMeter`], so even a cold cache cannot overshoot the deadline
+    /// by more than one stride). An aborted walk is **not** counted in
+    /// `stats.walks` and contributes nothing, so the estimator stays
+    /// unbiased over the completed walks.
+    fn walk(&mut self, budget: &ExecBudget) -> Result<(), BudgetExceeded> {
         self.maybe_retune();
-        budget.fault_walk();
-        budget.charge_walk()?;
         let n = self.plan.len();
         let mut prob_inv = 1.0f64;
         let mut i = 0usize;
@@ -473,162 +463,6 @@ impl<'g> AuditJoin<'g> {
             Ok(true)
         }
     }
-
-    /// Execute up to `n` walks as one SoA batch (see `crate::batch`).
-    /// Equivalent to `n` calls of [`AuditJoin::walk`]; at `n == 1` the
-    /// RNG stream, accept/reject/tip sequence and all counters are
-    /// bit-identical to the sequential walk.
-    pub fn walk_batch(&mut self, n: u64) -> u64 {
-        self.walk_batch_governed(&ExecBudget::unlimited(), n)
-            .expect("unlimited budget cannot trip")
-    }
-
-    /// Batched walks under a cooperative budget: charges the batch as one
-    /// [`ExecBudget::charge_walks`] call (possibly admitting fewer than
-    /// `n`), checks the budget once per plan step per batch plus once per
-    /// tipped suffix, and returns the number of walks admitted. A trip
-    /// mid-batch loses only the walks still in flight — walks already
-    /// completed (full, tipped or dead) in the batch remain counted.
-    pub fn walk_batch_governed(
-        &mut self,
-        budget: &ExecBudget,
-        n: u64,
-    ) -> Result<u64, BudgetExceeded> {
-        if n == 0 {
-            return Ok(0);
-        }
-        self.maybe_retune();
-        for _ in 0..n {
-            budget.fault_walk();
-        }
-        let admitted = budget.charge_walks(n)?;
-        let mut bs = std::mem::take(&mut self.batch);
-        let result = self.walk_batch_core(budget, admitted as usize, &mut bs);
-        self.batch = bs;
-        result.map(|()| admitted)
-    }
-
-    fn walk_batch_core(
-        &mut self,
-        budget: &ExecBudget,
-        n: usize,
-        bs: &mut crate::batch::BatchScratch,
-    ) -> Result<(), BudgetExceeded> {
-        use kgoa_obs::metrics as m;
-        let plan = std::sync::Arc::clone(&self.plan);
-        let vc = plan.var_count();
-        let steps_n = plan.len();
-        bs.reset(n, vc);
-        bs.ranges[..n].fill(self.first_range);
-        let mut live = n as u64;
-        for i in 0..steps_n {
-            if live == 0 {
-                break;
-            }
-            budget.check()?;
-            m::WALK_BATCH_STEPS.inc();
-            m::WALK_BATCH_OCCUPANCY.record(live);
-            self.step_visits[i] += live;
-            let index = self.step_index[i];
-            // Reject dead ends (one sample attempt per live walk), then
-            // draw one RNG word per survivor in walk order — at batch 1
-            // this consumes exactly the sequential walk's stream.
-            m::SAMPLE_DRAWS.add(live);
-            let mut rejected = 0u64;
-            let mut survivors = 0usize;
-            for w in 0..n {
-                if !bs.alive[w] {
-                    continue;
-                }
-                if bs.ranges[w].is_empty() {
-                    bs.alive[w] = false;
-                    self.step_rejects[i] += 1;
-                    rejected += 1;
-                } else {
-                    survivors += 1;
-                }
-            }
-            if rejected > 0 {
-                self.stats.walks += rejected;
-                self.stats.rejected += rejected;
-                m::WALKS.add(rejected);
-                m::WALKS_REJECTED.add(rejected);
-            }
-            bs.raw.clear();
-            bs.raw.resize(survivors, 0);
-            self.rng.fill_u64(&mut bs.raw);
-            let mut k = 0usize;
-            for w in 0..n {
-                if !bs.alive[w] {
-                    continue;
-                }
-                let range = bs.ranges[w];
-                let pos = index.pick_live_keyed(range, bs.raw[k]);
-                k += 1;
-                bs.weights[w] *= range.len() as f64;
-                plan.extract_at(index, i, pos, &mut bs.assignments[w * vc..(w + 1) * vc]);
-            }
-            live = survivors as u64;
-            if i + 1 == steps_n {
-                for w in 0..n {
-                    if !bs.alive[w] {
-                        continue;
-                    }
-                    bs.alive[w] = false;
-                    self.assignment.copy_from_slice(&bs.assignments[w * vc..(w + 1) * vc]);
-                    self.finish_full(bs.weights[w], budget)?;
-                    self.stats.walks += 1;
-                    self.stats.full += 1;
-                    m::WALKS.inc();
-                    m::WALKS_FULL.inc();
-                }
-                break;
-            }
-            // Resolve every survivor's next range with one sorted batch
-            // seek, then tip the walks whose estimated completions fall
-            // below the threshold; the rest carry their range forward.
-            crate::batch::resolve_step_ranges(
-                self.step_index[i + 1],
-                &plan.steps()[i + 1],
-                self.fixed_ranges[i + 1],
-                &bs.assignments,
-                vc,
-                &bs.alive[..n],
-                &mut bs.probes1,
-                &mut bs.probes2,
-                &mut bs.next_ranges,
-            );
-            for w in 0..n {
-                if !bs.alive[w] {
-                    continue;
-                }
-                let next = bs.next_ranges[w];
-                let est_rem = self.est.remaining(i + 1, next.len() as u64);
-                if est_rem < self.threshold {
-                    budget.check()?;
-                    self.assignment.copy_from_slice(&bs.assignments[w * vc..(w + 1) * vc]);
-                    let contributed = self.finish_tipped(i + 1, bs.weights[w], budget)?;
-                    self.stats.walks += 1;
-                    m::WALKS.inc();
-                    if contributed {
-                        self.stats.tipped += 1;
-                        self.step_tips[i + 1] += 1;
-                        m::WALKS_TIPPED.inc();
-                        m::AJ_TIP_STEP.record((i + 1) as u64);
-                    } else {
-                        self.stats.rejected += 1;
-                        self.step_rejects[i + 1] += 1;
-                        m::WALKS_REJECTED.inc();
-                    }
-                    bs.alive[w] = false;
-                    live -= 1;
-                } else {
-                    bs.ranges[w] = next;
-                }
-            }
-        }
-        Ok(())
-    }
 }
 
 impl OnlineAggregator for AuditJoin<'_> {
@@ -636,24 +470,8 @@ impl OnlineAggregator for AuditJoin<'_> {
         "aj"
     }
 
-    fn step(&mut self) {
-        self.walk();
-    }
-
-    fn step_governed(&mut self, budget: &ExecBudget) -> Result<(), BudgetExceeded> {
-        self.walk_governed(budget)
-    }
-
-    fn step_batch(&mut self, n: u64) {
-        self.walk_batch(n);
-    }
-
-    fn step_batch_governed(
-        &mut self,
-        budget: &ExecBudget,
-        n: u64,
-    ) -> Result<u64, BudgetExceeded> {
-        self.walk_batch_governed(budget, n)
+    fn walks(&mut self, budget: &ExecBudget, n: u64) -> Result<u64, BudgetExceeded> {
+        crate::online::walk_each(budget, n, || self.walk(budget))
     }
 
     fn estimates(&self) -> kgoa_engine::GroupedEstimates {

@@ -11,8 +11,10 @@
 //!   with exact partial computations via Cached Trie Join at a
 //!   selectivity-driven *tipping point*, plus a provably unbiased
 //!   count-distinct estimator (`Σ_b Pr(a,b,δ) / (Pr(a,b)·Pr(δ))`);
-//! - [`OnlineAggregator`] with [`run_walks`] / [`run_timed`] runners and
-//!   CLT confidence intervals;
+//! - [`OnlineAggregator`], whose one walking method
+//!   ([`OnlineAggregator::walks`]) charges the walk cap once per call and
+//!   runs the admitted walks one at a time, with [`run_walks`] /
+//!   [`run_timed`] runners over it and CLT confidence intervals;
 //! - walk-order selection ([`select_plan`]) per §V-B;
 //! - resource-governed execution ([`supervise`]): deadlines, cooperative
 //!   cancellation, panic isolation, and exact → approximate graceful
@@ -29,7 +31,6 @@
 pub mod accum;
 pub mod aggregate;
 pub mod audit;
-mod batch;
 pub mod epoch;
 pub mod monitor;
 pub mod online;

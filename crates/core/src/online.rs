@@ -2,7 +2,7 @@
 //!
 //! The paper's protocol (§V-B): "we run each online aggregation algorithm
 //! for nine seconds and report the estimate after each second". The
-//! [`run_timed`] helper reproduces that — it steps an aggregator until each
+//! [`run_timed`] helper reproduces that — it walks an aggregator until each
 //! tick boundary and snapshots the estimates — while [`run_walks`] gives
 //! deterministic, walk-count-based runs for tests.
 
@@ -12,58 +12,53 @@ use kgoa_engine::{BudgetExceeded, ExecBudget, GroupedEstimates};
 
 use crate::accum::WalkStats;
 
-/// An online-aggregation algorithm over one query: repeatedly stepped,
+/// An online-aggregation algorithm over one query: repeatedly walked,
 /// queryable for its current estimates at any time.
 pub trait OnlineAggregator {
     /// Short name for reports ("wj", "aj").
     fn name(&self) -> &'static str;
 
-    /// Perform one random walk (one estimator sample).
-    fn step(&mut self);
-
-    /// Perform one walk under a cooperative budget. The default checks the
-    /// budget between walks only; [`crate::WanderJoin`] and
-    /// [`crate::AuditJoin`] override it with mid-walk cancellation.
-    fn step_governed(&mut self, budget: &ExecBudget) -> Result<(), BudgetExceeded> {
-        budget.fault_walk();
-        budget.charge_walk()?;
-        budget.check()?;
-        self.step();
-        Ok(())
-    }
-
-    /// Perform `n` walks as one batch. The default is a sequential loop;
-    /// [`crate::WanderJoin`] and [`crate::AuditJoin`] override it with the
-    /// SoA step-major runner that amortizes RNG, index, and accounting
-    /// costs across the batch.
-    fn step_batch(&mut self, n: u64) {
-        for _ in 0..n {
-            self.step();
-        }
-    }
-
-    /// Perform up to `n` walks as one batch under a cooperative budget,
-    /// returning the number of walks admitted. `Ok(done)` with `done < n`
-    /// means the shared walk cap admitted only part of the batch — callers
-    /// must treat that as terminal, like `Err`, and stop issuing batches.
-    /// The default loops [`OnlineAggregator::step_governed`], propagating
-    /// its first error.
-    fn step_batch_governed(
-        &mut self,
-        budget: &ExecBudget,
-        n: u64,
-    ) -> Result<u64, BudgetExceeded> {
-        for _ in 0..n {
-            self.step_governed(budget)?;
-        }
-        Ok(n)
-    }
+    /// Perform up to `n` random walks (estimator samples) under a
+    /// cooperative budget, returning the number of walks admitted.
+    ///
+    /// The walk cap is charged once for the whole call
+    /// ([`ExecBudget::charge_walks`]); the admitted walks then run one at
+    /// a time, and [`crate::WanderJoin`] and [`crate::AuditJoin`] check
+    /// the budget before every step, so a deadline or cancellation stops
+    /// a walk mid-path. An aborted walk is not counted and contributes
+    /// nothing. `Ok(done)` with `done < n` means the walk cap admitted
+    /// only part of the call: callers must treat that as terminal, like
+    /// `Err`, and stop walking. With [`ExecBudget::unlimited`] every call
+    /// admits all `n` walks, and splitting a run into calls of any size
+    /// draws the same walks in the same order.
+    fn walks(&mut self, budget: &ExecBudget, n: u64) -> Result<u64, BudgetExceeded>;
 
     /// Snapshot the current per-group estimates and confidence intervals.
     fn estimates(&self) -> GroupedEstimates;
 
     /// Walk counters so far.
     fn stats(&self) -> WalkStats;
+}
+
+/// The shared body of [`OnlineAggregator::walks`]: charge the walk cap
+/// once for `n` walks, then run each admitted walk through `walk`, which
+/// performs exactly one walk under `budget` and propagates its first trip.
+/// The fault hook fires immediately before each walk, so a planned panic
+/// on walk `k` keeps the `k - 1` walks before it.
+pub(crate) fn walk_each(
+    budget: &ExecBudget,
+    n: u64,
+    mut walk: impl FnMut() -> Result<(), BudgetExceeded>,
+) -> Result<u64, BudgetExceeded> {
+    if n == 0 {
+        return Ok(0);
+    }
+    let admitted = budget.charge_walks(n)?;
+    for _ in 0..admitted {
+        budget.fault_walk();
+        walk()?;
+    }
+    Ok(admitted)
 }
 
 /// One snapshot of an aggregator's state at a tick boundary.
@@ -77,22 +72,21 @@ pub struct Snapshot {
     pub stats: WalkStats,
 }
 
-/// Step the aggregator for a fixed number of walks (deterministic).
+/// Run the aggregator for a fixed number of walks (deterministic).
 pub fn run_walks<A: OnlineAggregator + ?Sized>(agg: &mut A, walks: u64) {
-    for _ in 0..walks {
-        agg.step();
-    }
+    agg.walks(&ExecBudget::unlimited(), walks)
+        .expect("unlimited budget cannot trip");
 }
 
-/// Step the aggregator for a fixed number of walks in SoA batches of
-/// `batch` walks each (deterministic for a fixed seed and batch size).
-/// `batch == 1` reproduces [`run_walks`] bit-for-bit.
+/// Run the aggregator for a fixed number of walks in calls of `batch`
+/// walks each. Every batch size draws the same walks as [`run_walks`],
+/// bit for bit: the batch is only the unit of the call.
 pub fn run_walks_batched<A: OnlineAggregator + ?Sized>(agg: &mut A, walks: u64, batch: u64) {
     let batch = batch.max(1);
     let mut done = 0u64;
     while done < walks {
         let n = batch.min(walks - done);
-        agg.step_batch(n);
+        run_walks(agg, n);
         done += n;
     }
 }
@@ -111,7 +105,7 @@ pub fn mean_ci_half_width(est: &GroupedEstimates) -> f64 {
     }
 }
 
-/// Step the aggregator until its budget trips, and report why it stopped.
+/// Walk the aggregator until its budget trips, and report why it stopped.
 ///
 /// The budget **must** be bounded (a deadline, walk limit, or eventual
 /// cancellation) — with a truly unlimited budget this would spin forever,
@@ -128,13 +122,15 @@ pub fn run_governed<A: OnlineAggregator + ?Sized>(
         };
     }
     loop {
-        if let Err(stop) = agg.step_governed(budget) {
+        // One walk per call, so the walk cap never reserves walks that a
+        // deadline or cancellation then prevents from running.
+        if let Err(stop) = agg.walks(budget, 1) {
             return stop;
         }
     }
 }
 
-/// Step the aggregator for `walks` walks in batches of `batch`, recording
+/// Run the aggregator for `walks` walks in batches of `batch`, recording
 /// one [`kgoa_obs::TracePoint`] per batch into a convergence trace: walk
 /// count, total estimate (sum over groups), mean 95% CI half-width, and
 /// elapsed wall time. This is the estimator-side feed for `repro trace`
@@ -166,22 +162,20 @@ pub fn run_traced<A: OnlineAggregator + ?Sized>(
 /// the estimates at every boundary — the measurement loop behind the
 /// paper's MAE-over-time plots (Figs. 8–10).
 ///
-/// Steps are checked against the clock in small batches so a tick boundary
+/// Walks are checked against the clock in small batches so a tick boundary
 /// is never overshot by more than a batch.
 pub fn run_timed<A: OnlineAggregator + ?Sized>(
     agg: &mut A,
     ticks: usize,
     tick: Duration,
 ) -> Vec<Snapshot> {
-    const BATCH: u32 = 64;
+    const BATCH: u64 = 64;
     let start = Instant::now();
     let mut snapshots = Vec::with_capacity(ticks);
     for t in 1..=ticks {
         let deadline = tick * t as u32;
         while start.elapsed() < deadline {
-            for _ in 0..BATCH {
-                agg.step();
-            }
+            run_walks(agg, BATCH);
         }
         snapshots.push(Snapshot {
             elapsed: start.elapsed(),
@@ -197,7 +191,7 @@ mod tests {
     use super::*;
     use kgoa_index::FxHashMap;
 
-    /// A fake aggregator whose estimate is the number of steps taken.
+    /// A fake aggregator whose estimate is the number of walks taken.
     struct Counting {
         n: u64,
     }
@@ -207,8 +201,11 @@ mod tests {
             "counting"
         }
 
-        fn step(&mut self) {
-            self.n += 1;
+        fn walks(&mut self, budget: &ExecBudget, n: u64) -> Result<u64, BudgetExceeded> {
+            walk_each(budget, n, || {
+                self.n += 1;
+                Ok(())
+            })
         }
 
         fn estimates(&self) -> GroupedEstimates {
@@ -230,15 +227,16 @@ mod tests {
     }
 
     #[test]
-    fn default_batch_methods_loop_step() {
+    fn walk_each_charges_the_cap_once_and_admits_a_partial_call() {
         let mut c = Counting { n: 0 };
-        c.step_batch(7);
-        assert_eq!(c.n, 7);
+        let budget = ExecBudget::builder().walk_limit(10).build();
+        assert_eq!(c.walks(&budget, 0).unwrap(), 0);
+        assert_eq!(c.walks(&budget, 7).unwrap(), 7);
+        assert_eq!(c.walks(&budget, 7).unwrap(), 3, "only 3 walks remain under the cap");
+        assert_eq!((c.n, budget.walks()), (10, 10));
+        assert!(c.walks(&budget, 7).is_err());
         run_walks_batched(&mut c, 100, 16);
-        assert_eq!(c.n, 107);
-        let budget = ExecBudget::unlimited();
-        assert_eq!(c.step_batch_governed(&budget, 9).unwrap(), 9);
-        assert_eq!(c.n, 116);
+        assert_eq!(c.n, 110);
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! [`WorkerPool`] (spawned once, reused across runs) rather than per-call
 //! scoped threads. Each logical worker owns its aggregator for the whole
 //! run — RNG setup, walk buffers and per-step index references are paid
-//! once — and advances it in SoA *batches* of [`StreamConfig::batch`]
-//! walks via [`OnlineAggregator::step_batch`].
+//! once — and advances it in *batches* of [`StreamConfig::batch`]
+//! walks via [`OnlineAggregator::walks`].
 //! After every batch it publishes a snapshot of its accumulator prefix
 //! into its per-worker slot; the caller's thread folds the latest slots
 //! (in worker order, so merges are deterministic) into a live
@@ -96,12 +96,13 @@ pub enum Budget {
 /// Batching and refresh cadence for a streaming parallel run.
 #[derive(Debug, Clone, Copy)]
 pub struct StreamConfig {
-    /// Walks per SoA batch: how many walks each worker advances through
-    /// [`OnlineAggregator::step_batch`] at a time, and therefore the unit
-    /// of publication, budget accounting and panic loss. Larger batches
-    /// amortize RNG refills, index probes and slot locking; smaller
-    /// batches refresh the live estimate more often (256 balances the two
-    /// — see DESIGN.md §4f and §4j).
+    /// Walks per batch: how many walks each worker runs through one
+    /// [`OnlineAggregator::walks`] call, and therefore the unit of
+    /// publication, walk-cap charging and panic loss. The walks inside a
+    /// batch run one at a time, so the batch size never changes which
+    /// walks are drawn. Larger batches amortize slot locking and cap
+    /// charging; smaller batches refresh the live estimate more often
+    /// (256 balances the two — see DESIGN.md §4f and §4j).
     pub batch: u64,
     /// How often the caller folds worker slots into a merged snapshot for
     /// the observer. Sub-millisecond values are clamped to 1ms.
@@ -480,7 +481,7 @@ pub fn run_parallel_streaming(
     })
 }
 
-/// Step `agg` under `budget` in batches, publishing the accumulator
+/// Walk `agg` under `budget` in batches, publishing the accumulator
 /// prefix after every batch. `snap` clones the concrete aggregator's
 /// accumulator (the [`OnlineAggregator`] trait deliberately does not
 /// expose raw sums).
@@ -506,7 +507,7 @@ fn drive_batched<A: OnlineAggregator>(
             let mut done = 0u64;
             while done < *n {
                 let step = batch.min(*n - done);
-                agg.step_batch(step);
+                crate::online::run_walks(agg, step);
                 done += step;
                 batches += 1;
                 publish(agg, batches, step);
@@ -520,7 +521,7 @@ fn drive_batched<A: OnlineAggregator>(
                 // deadline is never overshot by more than a mini-batch.
                 while in_batch < batch && start.elapsed() < *d {
                     let step = 64.min(batch - in_batch);
-                    agg.step_batch(step);
+                    crate::online::run_walks(agg, step);
                     in_batch += step;
                 }
                 batches += 1;
@@ -537,7 +538,7 @@ fn drive_batched<A: OnlineAggregator>(
             loop {
                 // A partial admission (`done < batch`) means the shared
                 // walk cap is exhausted — terminal, like an error.
-                let end = match agg.step_batch_governed(b, batch) {
+                let end = match agg.walks(b, batch) {
                     Ok(done) => done < batch,
                     Err(_) => true,
                 };
@@ -775,8 +776,8 @@ mod tests {
         );
 
         // The old end-of-run merge, replayed by hand: one aggregator per
-        // worker seed stepped in the same SoA batches the workers used,
-        // merged in worker order.
+        // worker seed, walked in one call (the workers' batch size does not
+        // change which walks are drawn), merged in worker order.
         let mut accum = GroupAccumulator::new();
         let mut stats = WalkStats::default();
         for t in 0..threads {
@@ -784,7 +785,7 @@ mod tests {
                 seed.wrapping_add(0x9E37_79B9_7F4A_7C15_u64.wrapping_mul(t as u64 + 1));
             let mut wj =
                 WanderJoin::with_plan(&ig, &query, plan.clone(), worker_seed).unwrap();
-            crate::online::run_walks_batched(&mut wj, walks, 128);
+            crate::online::run_walks(&mut wj, walks);
             accum.merge_from(wj.accumulator());
             stats.merge_from(&wj.stats());
         }

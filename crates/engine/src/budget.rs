@@ -233,25 +233,15 @@ impl ExecBudget {
         Ok(())
     }
 
-    /// Charge one random walk and fail if over the cap.
-    pub fn charge_walk(&self) -> Result<(), BudgetExceeded> {
-        let Some(inner) = &self.inner else { return Ok(()) };
-        let total = inner.walks.fetch_add(1, Ordering::Relaxed) + 1;
-        if total > inner.walk_limit {
-            return Err(self.exceeded(BudgetReason::WalkLimit { limit: inner.walk_limit }));
-        }
-        Ok(())
-    }
-
-    /// Charge `n` random walks at once (one atomic add for a whole SoA
-    /// batch) and return how many were admitted under the cap.
+    /// Charge `n` random walks at once (one atomic add per
+    /// `OnlineAggregator::walks` call) and return how many were admitted
+    /// under the cap.
     ///
     /// `Ok(k)` with `k <= n` means the caller may start `k` walks;
     /// `Err(WalkLimit)` means the cap was already reached and none are
     /// admitted. The unadmitted remainder is refunded, so the counter only
     /// tracks admitted walks and a partial batch cannot trip
-    /// [`ExecBudget::check`] for walks the cap allowed. At `n == 1` this
-    /// admits and refuses exactly like [`ExecBudget::charge_walk`].
+    /// [`ExecBudget::check`] for walks the cap allowed.
     pub fn charge_walks(&self, n: u64) -> Result<u64, BudgetExceeded> {
         let Some(inner) = &self.inner else { return Ok(n) };
         let prev = inner.walks.fetch_add(n, Ordering::Relaxed);
@@ -462,7 +452,7 @@ mod tests {
         assert!(b.is_unlimited());
         b.check().unwrap();
         b.charge_tuples(u64::MAX / 2).unwrap();
-        b.charge_walk().unwrap();
+        assert_eq!(b.charge_walks(1).unwrap(), 1);
         let mut m = b.meter();
         for _ in 0..10_000 {
             m.tick().unwrap();
@@ -505,10 +495,10 @@ mod tests {
     #[test]
     fn walk_and_byte_limits_trip() {
         let b = ExecBudget::builder().walk_limit(2).byte_limit(10).build();
-        b.charge_walk().unwrap();
-        b.charge_walk().unwrap();
+        assert_eq!(b.charge_walks(1).unwrap(), 1);
+        assert_eq!(b.charge_walks(1).unwrap(), 1);
         assert_eq!(
-            b.charge_walk().unwrap_err().reason,
+            b.charge_walks(1).unwrap_err().reason,
             BudgetReason::WalkLimit { limit: 2 }
         );
         assert_eq!(
@@ -530,13 +520,9 @@ mod tests {
         );
         // Unlimited admits everything.
         assert_eq!(ExecBudget::unlimited().charge_walks(7).unwrap(), 7);
-        // n == 1 agrees with charge_walk.
-        let a = ExecBudget::builder().walk_limit(1).build();
-        assert_eq!(a.charge_walks(1).unwrap(), 1);
-        assert!(a.charge_walks(1).is_err());
-        let c = ExecBudget::builder().walk_limit(1).build();
-        c.charge_walk().unwrap();
-        assert!(c.charge_walk().is_err());
+        // A refused charge is refunded, so it cannot trip `check`.
+        assert_eq!(b.walks(), 10);
+        b.check().unwrap();
     }
 
     #[test]

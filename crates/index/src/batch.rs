@@ -1,9 +1,8 @@
-//! Sorted batch seeks over the trie levels — the index half of the SoA
-//! batched walk runner.
+//! Sorted batch seeks over the trie levels: [`TrieIndex::seek2_batch`]
+//! resolves one 2-value prefix range per probe for a whole batch of probes.
 //!
-//! A batched walk step resolves one prefix range per live walk. Issuing
-//! the probes in sorted key order turns per-walk entry-point lookups into a
-//! near-sequential scan of the CSR level arrays: a cursor carried from
+//! Issuing the probes in sorted key order turns per-probe entry-point
+//! lookups into a near-sequential scan of the CSR level arrays: a cursor carried from
 //! the previous hit makes each gallop start where the last one ended, so
 //! a batch of B probes touches each cache line of `l0_keys`/`l1_keys` at
 //! most once instead of B random entry-point lines. An optional software
@@ -11,7 +10,7 @@
 //! resolves.
 //!
 //! Probes are `(key, slot)` pairs **sorted by key**; results land in
-//! `out[slot]`, so the caller keeps walk order while the index sees key
+//! `out[slot]`, so the caller keeps its own order while the index sees key
 //! order. The CSR and compressed layouts on a delta-free index take the
 //! galloping fast path (compressed seeks additionally skip whole
 //! bit-packed blocks via the per-block directory); the row layout and
@@ -57,56 +56,6 @@ fn gallop(keys: &[u32], lo: usize, hi: usize, v: u32) -> usize {
 }
 
 impl TrieIndex {
-    /// Resolve a batch of 1-value prefix probes, sorted by key ascending
-    /// (duplicate keys allowed). `out[slot]` receives the live range of
-    /// `key` — identical to [`TrieIndex::range1_live`] per probe.
-    pub fn seek1_batch(&self, probes: &[(u32, u32)], out: &mut [LiveRange]) {
-        debug_assert!(
-            probes.windows(2).all(|w| w[0].0 <= w[1].0),
-            "seek1_batch probes must be key-sorted"
-        );
-        kgoa_obs::metrics::TRIE_SEEK_BATCH.add(probes.len() as u64);
-        if !self.has_delta() {
-            if let Storage::Csr(t) = self.storage() {
-                let keys = t.l0_key_slice();
-                let mut cur = 0usize;
-                for &(key, slot) in probes {
-                    let pos = gallop(keys, cur, keys.len(), key);
-                    cur = pos;
-                    prefetch_key(keys, pos + GALLOP_LINEAR_SPAN);
-                    out[slot as usize] = if pos < keys.len() && keys[pos] == key {
-                        LiveRange::solid(t.l0_leaf_range(pos as u32))
-                    } else {
-                        LiveRange::EMPTY
-                    };
-                }
-                return;
-            }
-            if let Storage::Compressed(t) = self.storage() {
-                // Same carried-cursor discipline; the seek skips whole
-                // bit-packed blocks via the directory's first keys, and
-                // the carried block cache means each block the sorted
-                // sweep crosses is unpacked exactly once.
-                let n = t.l0_len();
-                let mut cache = crate::compressed::BlockCache::new();
-                let mut cur = 0usize;
-                for &(key, slot) in probes {
-                    let (pos, k) = t.seek0_cached(&mut cache, cur, n, key);
-                    cur = pos;
-                    out[slot as usize] = if k == Some(key) {
-                        LiveRange::solid(t.l0_leaf_range(pos as u32))
-                    } else {
-                        LiveRange::EMPTY
-                    };
-                }
-                return;
-            }
-        }
-        for &(key, slot) in probes {
-            out[slot as usize] = self.range1_live(key);
-        }
-    }
-
     /// Resolve a batch of 2-value prefix probes, sorted by
     /// [`crate::pack2`]-packed key ascending (lexicographic `(a, b)`;
     /// duplicates allowed). `out[slot]` receives the live range of
@@ -238,19 +187,8 @@ mod tests {
     fn batch_seeks_agree_with_point_lookups() {
         for layout in Layout::ALL {
             for idx in variants(layout) {
-                // 1-prefix probes: present, absent, duplicated, unsorted
-                // walk order (slots permuted).
-                let keys = [0u32, 1, 1, 2, 3, 4, 5, 7, 9];
-                let mut probes: Vec<(u32, u32)> =
-                    keys.iter().enumerate().map(|(i, &k)| (k, i as u32)).collect();
-                probes.sort_unstable_by_key(|&(k, _)| k);
-                let mut out = vec![LiveRange::EMPTY; keys.len()];
-                idx.seek1_batch(&probes, &mut out);
-                for (i, &k) in keys.iter().enumerate() {
-                    assert_eq!(out[i], idx.range1_live(k), "layout {layout} key {k}");
-                }
-
-                // 2-prefix probes.
+                // 2-prefix probes: present, absent, unsorted caller order
+                // (slots permuted).
                 let pairs = [(1u32, 9u32), (1, 10), (1, 11), (2, 12), (3, 12), (4, 13), (7, 15), (8, 1)];
                 let mut probes: Vec<(u64, u32)> = pairs
                     .iter()
@@ -274,7 +212,7 @@ mod tests {
         let idx = TrieIndex::build(IndexOrder::Spo, &base());
         let before = kgoa_obs::metrics::TRIE_SEEK_BATCH.get();
         let mut out = vec![LiveRange::EMPTY; 3];
-        idx.seek1_batch(&[(1, 0), (2, 1), (3, 2)], &mut out);
+        idx.seek2_batch(&[(pack2(1, 10), 0), (pack2(2, 12), 1), (pack2(3, 12), 2)], &mut out);
         let after = kgoa_obs::metrics::TRIE_SEEK_BATCH.get();
         kgoa_obs::set_enabled(false);
         assert_eq!(after - before, 3);
@@ -291,31 +229,11 @@ mod tests {
             .flat_map(|a| (0..3u32).map(move |b| t(a * 3, 10 + b, a + b)))
             .chain((0..3 * blk).map(|b| t(9999, b * 2, 1)))
             .collect();
-        let keys: Vec<u32> = [
-            0,
-            (blk - 1) * 3,
-            blk * 3,
-            (blk + 1) * 3,
-            2 * blk * 3,
-            (4 * blk - 1) * 3,
-            4 * blk * 3, // absent
-            9999,
-            10_000, // absent
-        ]
-        .into_iter()
-        .collect();
         for layout in Layout::ALL {
             let idx = TrieIndex::build_with_layout(IndexOrder::Spo, &triples, layout);
-            let mut probes: Vec<(u32, u32)> =
-                keys.iter().enumerate().map(|(i, &k)| (k, i as u32)).collect();
-            probes.sort_unstable_by_key(|&(k, _)| k);
-            let mut out = vec![LiveRange::EMPTY; keys.len()];
-            idx.seek1_batch(&probes, &mut out);
-            for (i, &k) in keys.iter().enumerate() {
-                assert_eq!(out[i], idx.range1_live(k), "layout {layout} key {k}");
-            }
             // 2-prefix probes across the wide (9999, *) window, including
-            // both sides of each block edge.
+            // both sides of each block edge, plus level-0 keys on both
+            // sides of a block edge and past the end.
             let pairs: Vec<(u32, u32)> = [0, blk - 1, blk, blk + 1, 2 * blk, 3 * blk - 1]
                 .into_iter()
                 .flat_map(|b| [(9999u32, b * 2), (9999, b * 2 + 1)])
@@ -340,8 +258,6 @@ mod tests {
         for layout in Layout::ALL {
             let idx = TrieIndex::build_with_layout(IndexOrder::Spo, &[], layout);
             let mut out = vec![LiveRange::solid(idx.full_range()); 2];
-            idx.seek1_batch(&[(5, 0), (6, 1)], &mut out);
-            assert!(out.iter().all(|r| r.is_empty()), "layout {layout}");
             idx.seek2_batch(&[(pack2(5, 5), 0), (pack2(6, 6), 1)], &mut out);
             assert!(out.iter().all(|r| r.is_empty()), "layout {layout}");
         }

@@ -66,7 +66,7 @@ struct BlockDir {
 
 /// One decoded block, carried across a sorted seek sweep so each
 /// bit-packed block is unpacked at most once per sweep (the batch-seek
-/// loops in [`crate::TrieIndex::seek1_batch`] own one per level).
+/// loops in [`crate::TrieIndex::seek2_batch`] own one per level).
 #[derive(Debug, Clone)]
 pub struct BlockCache {
     /// Index of the resident block, `usize::MAX` when empty.

@@ -337,28 +337,6 @@ impl TrieIndex {
         lo
     }
 
-    /// Map one pre-drawn uniform `u64` onto a logical position of a
-    /// (non-empty) live range — the keyed twin of
-    /// [`TrieIndex::pick_live`], consuming exactly the raw word that
-    /// `pick_live` would have drawn so a batched sampler reproduces the
-    /// per-walk RNG stream bit-for-bit. Callers handle empty ranges (and
-    /// the draw metric) themselves.
-    #[inline]
-    pub fn pick_live_keyed(&self, r: LiveRange, raw: u64) -> u32 {
-        if !self.has_delta() {
-            return r.main.pick_keyed(raw);
-        }
-        let n = r.len() as u32;
-        debug_assert!(n > 0, "pick_live_keyed on empty range");
-        let k = ((raw as u128 * n as u128) >> 64) as u32;
-        let live_main = r.live_main();
-        if k < live_main {
-            self.nth_live_main(r.main, k)
-        } else {
-            self.len() as u32 + r.delta.start + (k - live_main)
-        }
-    }
-
     /// Uniformly sample a logical position from a live range. Identical to
     /// [`RowRange::pick`] (same RNG draw sequence) when the index carries
     /// no overlay; O(log |tomb|) rank-select otherwise.
@@ -368,7 +346,17 @@ impl TrieIndex {
         if r.is_empty() {
             return None;
         }
-        Some(self.pick_live_keyed(r, rng.next_u64()))
+        let raw = rng.next_u64();
+        if !self.has_delta() {
+            return Some(r.main.pick_keyed(raw));
+        }
+        let k = ((raw as u128 * r.len() as u128) >> 64) as u32;
+        let live_main = r.live_main();
+        Some(if k < live_main {
+            self.nth_live_main(r.main, k)
+        } else {
+            self.len() as u32 + r.delta.start + (k - live_main)
+        })
     }
 
     /// Materialize all *live* rows, sorted (main ∖ tombstones merged with
@@ -517,30 +505,6 @@ mod tests {
         let mut b = SmallRng::seed_from_u64(9);
         for _ in 0..100 {
             assert_eq!(idx.pick_live(r, &mut a), idx.full_range().pick(&mut b));
-        }
-    }
-
-    #[test]
-    fn pick_live_keyed_matches_pick_live_stream() {
-        use rand::RngCore;
-        // Pre-drawing the raw word and feeding it to the keyed picker must
-        // reproduce pick_live exactly — on both the solid fast path and
-        // the overlay rank-select path.
-        for layout in Layout::ALL {
-            for idx in [TrieIndex::build_with_layout(IndexOrder::Spo, &base(), layout), overlaid(layout)]
-            {
-                for r in [idx.full_live(), idx.range1_live(1), idx.range2_live(1, 10)] {
-                    if r.is_empty() {
-                        continue;
-                    }
-                    let mut a = SmallRng::seed_from_u64(31);
-                    let mut b = SmallRng::seed_from_u64(31);
-                    for _ in 0..200 {
-                        let keyed = idx.pick_live_keyed(r, a.next_u64());
-                        assert_eq!(Some(keyed), idx.pick_live(r, &mut b), "layout {layout}");
-                    }
-                }
-            }
         }
     }
 

@@ -70,11 +70,10 @@ impl RowRange {
         }
     }
 
-    /// Map one pre-drawn uniform `u64` onto a row of this (non-empty)
-    /// range via the same multiply-shift `gen_range` uses, so a batched
-    /// sampler that pre-fills raw words reproduces [`RowRange::pick`]
-    /// bit-for-bit. Callers handle empty ranges (and the draw metric)
-    /// themselves.
+    /// Map one uniform `u64` onto a row of this (non-empty) range via the
+    /// same multiply-shift `gen_range` uses, so it reproduces
+    /// [`RowRange::pick`] bit for bit for the same raw word. Callers handle
+    /// empty ranges (and the draw metric) themselves.
     #[inline]
     pub fn pick_keyed(self, raw: u64) -> u32 {
         debug_assert!(!self.is_empty(), "pick_keyed on empty range");

@@ -312,8 +312,6 @@ well_known! {
             "Audit Join walks that switched to an exact suffix computation.",
         WALKS_DUPLICATE => "core.walks.duplicate":
             "Distinct-mode walks that landed on an already-seen (α, β) pair.",
-        WALK_BATCH_STEPS => "core.walk.batch_steps":
-            "Plan steps advanced by the batched SoA walk runner (one per step per batch).",
         TRIE_SEEK_BATCH => "index.trie.seek_batch":
             "Prefix probes resolved through the sorted batch-seek entry points.",
         INDEX_BLOCK_SKIPS => "index.block.skips":
@@ -414,8 +412,6 @@ well_known! {
             "Latency of session chart expansions (ns).",
         AJ_TIP_STEP => "core.aj.tip_step":
             "Plan step (1-based) at which Audit Join walks tipped.",
-        WALK_BATCH_OCCUPANCY => "core.walk.batch_occupancy":
-            "Walks still live when a batched SoA step ran (per step, per batch).",
         PARALLEL_WORKER_WALKS => "core.parallel.worker_walks":
             "Walks completed per parallel worker.",
         QUALITY_TIME_TO_CI_US => "obs.quality.time_to_ci_us":

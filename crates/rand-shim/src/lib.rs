@@ -36,15 +36,6 @@ pub trait RngCore {
             rem.copy_from_slice(&bytes[..rem.len()]);
         }
     }
-
-    /// Fill `dest` with independent uniform `u64`s — exactly one
-    /// `next_u64` per slot, in slot order, so a batch refill consumes the
-    /// same stream as `dest.len()` individual draws.
-    fn fill_u64(&mut self, dest: &mut [u64]) {
-        for slot in dest.iter_mut() {
-            *slot = self.next_u64();
-        }
-    }
 }
 
 impl<R: RngCore + ?Sized> RngCore for &mut R {
@@ -318,19 +309,6 @@ mod tests {
         let mut buf = [0u8; 13];
         rng.fill_bytes(&mut buf);
         assert!(buf.iter().any(|&b| b != 0));
-    }
-
-    #[test]
-    fn fill_u64_matches_sequential_draws() {
-        let mut a = SmallRng::seed_from_u64(21);
-        let mut b = SmallRng::seed_from_u64(21);
-        let mut buf = [0u64; 17];
-        a.fill_u64(&mut buf);
-        for (i, &slot) in buf.iter().enumerate() {
-            assert_eq!(slot, b.next_u64(), "slot {i}");
-        }
-        // The two generators remain in lockstep afterwards.
-        assert_eq!(a.next_u64(), b.next_u64());
     }
 
     #[test]

@@ -46,6 +46,16 @@
 //! let estimates = aj.estimates();
 //! assert!(!estimates.is_empty());
 //! ```
+//!
+//! Every estimator walks through one method,
+//! [`OnlineAggregator::walks`](online::OnlineAggregator::walks)`(budget, n)`:
+//! it charges the budget's walk cap once for the call and runs the
+//! admitted walks one at a time, checking the budget before every walk
+//! step. The runners ([`online::run_walks`], [`online::run_walks_batched`],
+//! [`online::run_timed`], [`online::run_governed`], the parallel pool) all
+//! drive that method, and the batch size a runner passes only decides how
+//! often the cap is charged and estimates are published: any batch size
+//! draws the same walks as [`online::run_walks`].
 
 #![warn(missing_docs)]
 

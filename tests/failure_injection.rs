@@ -374,6 +374,29 @@ mod fault_injection {
     }
 
     #[test]
+    fn planned_walk_panic_keeps_the_walks_before_it() {
+        // The fault hook fires immediately before each walk, so a panic
+        // planned for walk 5 of one 256-walk call keeps walks 1-4.
+        let (ig, p, q) = two_hop_graph();
+        let query = query_over(p, q, false);
+        let planned = || {
+            ExecBudget::builder()
+                .faults(FaultPlan { panic_walk_at: Some(5), ..Default::default() })
+                .build()
+        };
+        let mut wj = WanderJoin::new(&ig, &query, 7).unwrap();
+        let mut aj = AuditJoin::new(&ig, &query, AuditJoinConfig::default()).unwrap();
+        for agg in [&mut wj as &mut dyn OnlineAggregator, &mut aj] {
+            let budget = planned();
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                agg.walks(&budget, 256)
+            }));
+            assert!(run.is_err(), "{}: walk 5 must panic", agg.name());
+            assert_eq!(agg.stats().walks, 4, "{}: walks 1-4 are kept", agg.name());
+        }
+    }
+
+    #[test]
     fn profile_spans_stay_balanced_across_worker_panics() {
         // A worker panic unwinds through its profile span and attach
         // guard before `catch_unwind` stops it: the shared span tree must
